@@ -704,11 +704,11 @@ def _serve(args: argparse.Namespace) -> str:
         asyncio.run(_run())
     except KeyboardInterrupt:  # pragma: no cover - interactive fallback
         pass
-    stats = daemon.stats
+    stats = daemon.stats()
     return (
-        f"daemon drained and stopped: {stats.queries_answered} queries answered "
-        f"in {stats.engine_batches} engine batches, {stats.overloaded} overloaded, "
-        f"{stats.unavailable} unavailable"
+        f"daemon drained and stopped: {stats['queries_answered']} queries answered "
+        f"in {stats['engine_batches']} engine batches, {stats['overloaded']} overloaded, "
+        f"{stats['unavailable']} unavailable"
     )
 
 

@@ -16,11 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Union
 
-import numpy as np
-
 from ..exceptions import SynopsisError
-from ..models.base import ProbabilisticModel
-from ..models.frequency import FrequencyDistributions
+from ..models.base import DataLike, NormalisedData, normalise_data
 from ..telemetry import span
 from .histogram import Histogram
 from .metrics import DEFAULT_SANITY, ErrorMetric, MetricSpec
@@ -35,9 +32,6 @@ __all__ = [
     "build_wavelet",
     "register_builder",
 ]
-
-DataLike = Union[ProbabilisticModel, FrequencyDistributions, np.ndarray, Sequence[float]]
-NormalisedData = Union[ProbabilisticModel, FrequencyDistributions]
 
 #: A kind builder: (normalised data, spec) -> one synopsis per spec budget.
 KindBuilder = Callable[[NormalisedData, SynopsisSpec], List[Synopsis]]
@@ -57,19 +51,6 @@ def register_builder(kind: str):
         return fn
 
     return decorate
-
-
-def _as_data(data: DataLike) -> NormalisedData:
-    """Normalise the accepted input types to a model or dense marginals."""
-    if isinstance(data, (ProbabilisticModel, FrequencyDistributions)):
-        return data
-    array = np.asarray(data, dtype=float)
-    if array.ndim != 1 or array.size == 0:
-        raise SynopsisError(
-            "plain data must be a non-empty 1-D frequency vector; "
-            "use one of the probabilistic model classes for uncertain input"
-        )
-    return FrequencyDistributions.deterministic(array)
 
 
 def build(data: DataLike, spec: SynopsisSpec) -> Union[Synopsis, List[Synopsis]]:
@@ -101,7 +82,7 @@ def build(data: DataLike, spec: SynopsisSpec) -> Union[Synopsis, List[Synopsis]]
     builder = _BUILDERS.get(spec.kind)
     if builder is None:
         raise SynopsisError(f"no builder registered for synopsis kind {spec.kind!r}")
-    normalised = _as_data(data)
+    normalised = normalise_data(data)
     spec.validate_for_domain(normalised.domain_size)
     with span(
         "build.synopsis",

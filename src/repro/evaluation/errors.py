@@ -23,8 +23,7 @@ import numpy as np
 from ..core.metrics import DEFAULT_SANITY, ErrorMetric, MetricSpec
 from ..core.synopsis import Synopsis
 from ..exceptions import EvaluationError
-from ..models.base import ProbabilisticModel
-from ..models.frequency import FrequencyDistributions
+from ..models.base import DataLike, normalise_data
 
 __all__ = [
     "estimates_of",
@@ -34,17 +33,6 @@ __all__ = [
 ]
 
 SynopsisLike = Union[Synopsis, np.ndarray, Sequence[float]]
-DataLike = Union[ProbabilisticModel, FrequencyDistributions]
-
-
-def _distributions_of(data: DataLike) -> FrequencyDistributions:
-    if isinstance(data, ProbabilisticModel):
-        return data.to_frequency_distributions()
-    if isinstance(data, FrequencyDistributions):
-        return data
-    raise EvaluationError(
-        f"expected a probabilistic model or FrequencyDistributions, got {type(data).__name__}"
-    )
 
 
 def estimates_of(synopsis: SynopsisLike, domain_size: int) -> np.ndarray:
@@ -80,7 +68,7 @@ def per_item_expected_errors(
     from ..core.workload import QueryWorkload
 
     spec = metric if isinstance(metric, MetricSpec) else MetricSpec.of(metric, sanity)
-    distributions = _distributions_of(data)
+    distributions = normalise_data(data, error=EvaluationError).to_frequency_distributions()
     estimates = estimates_of(synopsis, distributions.domain_size)
 
     values = distributions.values

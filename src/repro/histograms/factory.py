@@ -11,7 +11,7 @@ runners are built on.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from typing import Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 from ..core.metrics import ErrorMetric, MetricSpec
 from ..core.workload import QueryWorkload
 from ..exceptions import SynopsisError
-from ..models.base import ProbabilisticModel
+from ..models.base import ProbabilisticModel, normalise_data
 from ..models.frequency import FrequencyDistributions
 from ..models.tuple_pdf import TuplePdfModel
 from ..telemetry import span
@@ -64,22 +64,15 @@ def make_cost_function(
     """
     spec = metric if isinstance(metric, MetricSpec) else MetricSpec.of(metric, sanity)
 
-    if isinstance(data, FrequencyDistributions):
-        distributions = data
-        model: Optional[ProbabilisticModel] = None
-    elif isinstance(data, ProbabilisticModel):
-        distributions = data.to_frequency_distributions()
-        model = data
-    else:
-        raise SynopsisError(
-            f"expected a probabilistic model or FrequencyDistributions, got {type(data).__name__}"
-        )
+    normalised = normalise_data(data)
+    distributions = normalised.to_frequency_distributions()
     coerced = QueryWorkload.coerce(workload, distributions.domain_size)
     weights = None if coerced is None else coerced.weights
 
     metric_enum = spec.metric
     if metric_enum is ErrorMetric.SSE:
-        tuple_model = model if (sse_variant == "paper" and isinstance(model, TuplePdfModel)) else None
+        paper = sse_variant == "paper" and isinstance(normalised, TuplePdfModel)
+        tuple_model = normalised if paper else None
         return SseCost(distributions, variant=sse_variant, model=tuple_model, workload=weights)
     if metric_enum is ErrorMetric.SSRE:
         return SsreCost(distributions, sanity=spec.sanity, workload=weights)

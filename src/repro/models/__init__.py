@@ -11,7 +11,7 @@ the shared substrate they are built on:
   baselines and the ground-truth evaluation oracle.
 """
 
-from .base import DEFAULT_MAX_WORLDS, ProbabilisticModel
+from .base import DEFAULT_MAX_WORLDS, ProbabilisticModel, normalise_data
 from .basic import BasicModel
 from .frequency import FrequencyDistributions
 from .induced import induced_distributions_from_bernoullis, poisson_binomial_pmf
@@ -23,6 +23,7 @@ from .worlds import PossibleWorld, merge_worlds, worlds_expectation, worlds_tota
 __all__ = [
     "DEFAULT_MAX_WORLDS",
     "ProbabilisticModel",
+    "normalise_data",
     "BasicModel",
     "TuplePdfModel",
     "ProbabilisticTuple",

@@ -21,15 +21,15 @@ need from any of them:
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence, Type, Union
 
 import numpy as np
 
-from ..exceptions import WorldEnumerationError
+from ..exceptions import SynopsisError, WorldEnumerationError
 from .frequency import FrequencyDistributions
 from .worlds import PossibleWorld
 
-__all__ = ["ProbabilisticModel", "DEFAULT_MAX_WORLDS"]
+__all__ = ["ProbabilisticModel", "DEFAULT_MAX_WORLDS", "DataLike", "NormalisedData", "normalise_data"]
 
 #: Default cap on the number of possible worlds exhaustive enumeration will
 #: produce before refusing (the space is exponential in the input size).
@@ -133,3 +133,37 @@ class ProbabilisticModel(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.domain_size}, m={self.size})"
+
+
+#: Everything the library accepts as data, and what :func:`normalise_data`
+#: turns it into.
+DataLike = Union[ProbabilisticModel, FrequencyDistributions, np.ndarray, Sequence[float]]
+NormalisedData = Union[ProbabilisticModel, FrequencyDistributions]
+
+
+def normalise_data(
+    data: DataLike,
+    *,
+    error: Type[Exception] = SynopsisError,
+) -> NormalisedData:
+    """The library's one input rule, shared by building and evaluation.
+
+    A model or a :class:`FrequencyDistributions` passes through unchanged
+    (builders that need the model itself — the SSE ``paper`` variant reads
+    the tuple-pdf — still get it); a non-empty 1-D frequency vector becomes
+    :meth:`FrequencyDistributions.deterministic`.  Anything else raises
+    ``error``, so each caller keeps its own exception type.  Either result
+    answers ``to_frequency_distributions()``.
+    """
+    if isinstance(data, (ProbabilisticModel, FrequencyDistributions)):
+        return data
+    try:
+        array = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        array = np.empty(0)  # not numeric: rejected below like an empty vector
+    if array.ndim != 1 or array.size == 0:
+        raise error(
+            "expected a probabilistic model, FrequencyDistributions or a non-empty 1-D "
+            f"frequency vector, got {type(data).__name__}"
+        )
+    return FrequencyDistributions.deterministic(array)

@@ -160,6 +160,10 @@ class FrequencyDistributions:
             f"values={len(self._grid)})"
         )
 
+    def to_frequency_distributions(self) -> "FrequencyDistributions":
+        """``self``: the marginals are already materialised (model protocol)."""
+        return self
+
     def marginal(self, item: int) -> Dict[float, float]:
         """Return ``{value: probability}`` for one item (non-zero entries only)."""
         self._check_item(item)

@@ -41,7 +41,7 @@ from ..core.spec import SynopsisSpec
 from ..core.synopsis import Synopsis
 from ..evaluation.errors import expected_error
 from ..exceptions import SynopsisError
-from ..models.base import ProbabilisticModel
+from ..models.base import normalise_data
 from ..models.frequency import FrequencyDistributions
 from ..telemetry import adopt_spans, capture_spans, tracing_active
 from ..telemetry import Span as TraceSpan
@@ -173,9 +173,7 @@ def build_shards(
     """
     if spec.kind != "partitioned" or spec.partition is None:
         raise SynopsisError("build_shards expects a partitioned SynopsisSpec")
-    distributions = (
-        data.to_frequency_distributions() if isinstance(data, ProbabilisticModel) else data
-    )
+    distributions = normalise_data(data).to_frequency_distributions()
     part = spec.partition
     minimum = 1 if part.base == "histogram" else 0
     max_budget = max(spec.budgets)
@@ -221,9 +219,7 @@ def build_shards(
 @register_builder("partitioned")
 def _build_partitioned(data: NormalisedData, spec: SynopsisSpec) -> List[Synopsis]:
     """Builder-registry entry: partition, sweep, allocate, assemble."""
-    distributions = (
-        data.to_frequency_distributions() if isinstance(data, ProbabilisticModel) else data
-    )
+    distributions = data.to_frequency_distributions()
     part = spec.partition
     assert part is not None  # paired at spec construction
     with trace_span(

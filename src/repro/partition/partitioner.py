@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.spec import PARTITION_STRATEGIES, PartitionSpec
 from ..exceptions import SynopsisError
-from ..models.base import ProbabilisticModel
+from ..models.base import ProbabilisticModel, normalise_data
 from ..models.frequency import FrequencyDistributions
 
 __all__ = ["Partitioner", "shard_spans"]
@@ -172,9 +172,7 @@ def shard_spans(
     :meth:`Partitioner.spans`, feeding the equal-mass strategy the data's
     expected frequencies.
     """
-    distributions = (
-        data.to_frequency_distributions() if isinstance(data, ProbabilisticModel) else data
-    )
+    distributions = normalise_data(data).to_frequency_distributions()
     masses = distributions.expectations() if spec.strategy == "equal_mass" else None
     partitioner = Partitioner.from_spec(spec)
     return partitioner.spans(distributions.domain_size, spec.shards, masses=masses)

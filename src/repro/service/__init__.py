@@ -41,7 +41,7 @@ from .protocol import (
 )
 from .queries import POINT, QUERY_KINDS, RANGE_AVG, RANGE_SUM, QueryBatch
 from .replay import generate_query_mix, replay, stream_rng
-from .server import DEFAULT_PORT, DaemonConfig, ServingDaemon, ServingStats
+from .server import DEFAULT_PORT, DaemonConfig, ServingDaemon
 from .store import StoreStats, SynopsisStore, fingerprint_data
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "latency_summary",
     "DaemonConfig",
     "ServingDaemon",
-    "ServingStats",
     "DEFAULT_PORT",
     "LoadgenClient",
     "run_loadgen",

@@ -35,6 +35,10 @@ Shutdown is graceful: :meth:`ServingDaemon.stop` stops accepting, flushes
 every armed window immediately, waits for in-flight responses to drain and
 only then closes connections.
 
+Accounting has one home, the daemon's own ungated registry
+(:attr:`ServingDaemon.metrics`): the ``stats`` op is computed from its
+``repro_daemon_*`` instruments and the ``metrics`` op renders them.
+
 Flushes run synchronously on the event loop — the whole point of
 micro-batching is that the engine call is one short dense evaluation, and a
 synchronous flush makes batch composition deterministic under test.
@@ -48,14 +52,17 @@ import logging
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, cast
 
 import numpy as np
 
 from ..core.spec import SynopsisSpec
+from ..core.synopsis import Synopsis
 from ..exceptions import ProtocolError, SynopsisError, VersionMismatchError
 from .. import telemetry
 from ..telemetry import (
+    Counter,
+    MetricsRegistry,
     RateLimiter,
     capture_spans,
     get_logger,
@@ -85,7 +92,7 @@ from .protocol import (
 from .queries import QueryBatch
 from .store import SynopsisStore, fingerprint_data
 
-__all__ = ["DaemonConfig", "ServingDaemon", "ServingStats", "DEFAULT_PORT"]
+__all__ = ["DaemonConfig", "ServingDaemon", "DEFAULT_PORT"]
 
 #: Default TCP port for ``repro-synopses serve`` (any free port via 0).
 DEFAULT_PORT = 7209
@@ -132,60 +139,12 @@ class DaemonConfig:
             raise SynopsisError("slow_query_ms must be non-negative (or None to disable)")
 
 
-@dataclass
-class ServingStats:
-    """Counters describing what the daemon has served (the ``stats`` op).
-
-    ``engine_batches`` vs. ``queries_answered`` is the coalescing story:
-    their ratio is the average batch the engine amortised one evaluation
-    over.  ``overloaded`` / ``unavailable`` count explicit rejections
-    (admission control and the degradation-ladder bottom respectively), and
-    the ``engine_*`` counters break down which rung of the ladder resolved
-    each engine lookup.
-    """
-
-    connections: int = 0
-    requests: int = 0
-    queries_answered: int = 0
-    engine_batches: int = 0
-    coalesced_queries: int = 0
-    largest_batch: int = 0
-    overloaded: int = 0
-    unavailable: int = 0
-    protocol_errors: int = 0
-    version_rejections: int = 0
-    invalid_queries: int = 0
-    internal_errors: int = 0
-    engine_cache_hits: int = 0
-    engine_store_resolutions: int = 0
-    engine_builds: int = 0
-    engine_evictions: int = 0
-    drained_queries: int = 0
-
-    def as_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "connections": self.connections,
-            "requests": self.requests,
-            "queries_answered": self.queries_answered,
-            "engine_batches": self.engine_batches,
-            "coalesced_queries": self.coalesced_queries,
-            "largest_batch": self.largest_batch,
-            "overloaded": self.overloaded,
-            "unavailable": self.unavailable,
-            "protocol_errors": self.protocol_errors,
-            "version_rejections": self.version_rejections,
-            "invalid_queries": self.invalid_queries,
-            "internal_errors": self.internal_errors,
-            "engine_cache_hits": self.engine_cache_hits,
-            "engine_store_resolutions": self.engine_store_resolutions,
-            "engine_builds": self.engine_builds,
-            "engine_evictions": self.engine_evictions,
-            "drained_queries": self.drained_queries,
-        }
-        payload["coalescing_factor"] = (
-            self.queries_answered / self.engine_batches if self.engine_batches else None
-        )
-        return payload
+def _by_label(family: Counter) -> Dict[str, int]:
+    """``{label value: count}`` for a one-label counter family."""
+    return {
+        next(iter(labels.values())): int(cast(Counter, child).value)
+        for labels, child in family.samples()
+    }
 
 
 @dataclass(eq=False)
@@ -238,53 +197,59 @@ class ServingDaemon:
             raise SynopsisError(f"default target {self._default_target!r} is not a target")
         self._config = config or DaemonConfig()
         self._fingerprint = fingerprint_data(data)
-        self.stats = ServingStats()
-        # Telemetry: the daemon's instruments live in the process-wide gated
-        # registry (start() enables recording); the store's ungated registry
-        # rides along so one `metrics` scrape covers both.  ServingStats
-        # stays the authoritative per-daemon view for the `stats` op; the
-        # instruments are the cumulative process-wide exposition.
-        reg = telemetry.registry()
-        self._m_connections = reg.counter(
-            "repro_daemon_connections_total", "TCP connections accepted"
+        #: This daemon's accounting, ungated like the store's registry: the
+        #: `stats` op reads it, the `metrics` op renders it, and every daemon
+        #: event records into exactly one of its instruments.
+        self.metrics = MetricsRegistry(gated=False)
+        counter, gauge = self.metrics.counter, self.metrics.gauge
+        self._m_connections = counter("repro_daemon_connections_total", "TCP connections accepted")
+        self._m_requests = counter(
+            "repro_daemon_requests_total", "Wire requests dispatched, by op", labelnames=("op",)
         )
-        self._m_requests = reg.counter(
-            "repro_daemon_requests_total", "Wire requests dispatched, by op",
-            labelnames=("op",),
-        )
-        self._m_queries = reg.counter(
+        self._m_queries = counter(
             "repro_daemon_queries_answered_total", "Queries answered with status ok"
         )
-        self._m_batches = reg.counter(
+        self._m_batches = counter(
             "repro_daemon_engine_batches_total", "Coalesced engine flushes executed"
         )
-        self._m_batch_size = reg.histogram(
+        self._m_batch_size = self.metrics.histogram(
             "repro_daemon_batch_size",
             "Queries coalesced into one engine flush",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
         )
-        self._m_flush_ms = reg.histogram(
+        self._m_flush_ms = self.metrics.histogram(
             "repro_daemon_flush_latency_ms", "Wall time of one coalesced flush"
         )
-        self._m_rejections = reg.counter(
+        self._m_rejections = counter(
             "repro_daemon_admission_rejections_total",
-            "Queries rejected by admission control, by reason",
-            labelnames=("reason",),
+            "Queries rejected by admission control, by reason", labelnames=("reason",),
         )
-        self._m_ladder = reg.counter(
+        self._m_ladder = counter(
             "repro_daemon_ladder_total",
-            "Engine resolutions by degradation-ladder rung",
-            labelnames=("rung",),
+            "Engine resolutions by degradation-ladder rung", labelnames=("rung",),
         )
-        self._m_evictions = reg.counter(
+        self._m_evictions = counter(
             "repro_daemon_engine_evictions_total", "Hot engines evicted by the LRU cap"
         )
-        self._m_pending = reg.gauge(
+        self._m_pending = gauge(
             "repro_daemon_pending_queries", "Queries waiting in micro-batching windows"
         )
-        self._m_slow = reg.counter(
-            "repro_daemon_slow_queries_total",
-            "Flushes at or above the slow_query_ms threshold",
+        self._m_slow = counter(
+            "repro_daemon_slow_queries_total", "Flushes at or above the slow_query_ms threshold"
+        )
+        self._m_errors = counter(
+            "repro_daemon_errors_total",
+            "Requests answered with an error, by kind (protocol, version, invalid, internal)",
+            labelnames=("kind",),
+        )
+        self._m_unavailable = counter(
+            "repro_daemon_unavailable_total", "Queries the degradation ladder could not serve"
+        )
+        self._m_drained = counter(
+            "repro_daemon_drained_queries_total", "Queries flushed early by the shutdown drain"
+        )
+        self._m_largest_batch = gauge(
+            "repro_daemon_largest_batch", "Most queries one engine flush has answered"
         )
         self._log = get_logger("daemon")
         self._slow_log = get_logger("daemon.slow_query")
@@ -293,7 +258,6 @@ class ServingDaemon:
         self._errors: Dict[str, np.ndarray] = {}
         self._domain_sizes: Dict[str, int] = {}
         self._pending: Dict[str, List[Tuple[QueryRequest, "asyncio.Future[QueryResponse]"]]] = {}
-        self._pending_total = 0
         self._flush_handles: Dict[str, asyncio.TimerHandle] = {}
         self._tasks: Set["asyncio.Task[None]"] = set()
         self._handler_tasks: Set["asyncio.Task[None]"] = set()
@@ -303,6 +267,7 @@ class ServingDaemon:
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
         self._warmed = False
+        self._disable_telemetry_on_stop = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -344,6 +309,40 @@ class ServingDaemon:
             },
         }
 
+    def stats(self) -> Dict[str, Any]:
+        """The ``stats`` op payload, read off this daemon's instruments.
+
+        ``coalescing_factor`` (``queries_answered / engine_batches``) is the
+        average batch one engine evaluation was amortised over; the
+        ``engine_*`` counts break engine lookups down by ladder rung.
+        """
+        answered = int(self._m_queries.value)
+        batches = int(self._m_batches.value)
+        sizes = self._m_batch_size
+        errors = _by_label(self._m_errors)
+        ladder = _by_label(self._m_ladder)
+        return {
+            "connections": int(self._m_connections.value),
+            "requests": sum(_by_label(self._m_requests).values()),
+            "queries_answered": answered,
+            "engine_batches": batches,
+            # Queries that shared a flush: everything outside the le=1 bucket.
+            "coalesced_queries": int(sizes.sum) - sizes.counts[0],
+            "largest_batch": int(self._m_largest_batch.value),
+            "overloaded": sum(_by_label(self._m_rejections).values()),
+            "unavailable": int(self._m_unavailable.value),
+            "protocol_errors": errors.get("protocol", 0),
+            "version_rejections": errors.get("version", 0),
+            "invalid_queries": errors.get("invalid", 0),
+            "internal_errors": errors.get("internal", 0),
+            "engine_cache_hits": ladder.get("hot", 0),
+            "engine_store_resolutions": ladder.get("store", 0),
+            "engine_builds": ladder.get("build", 0),
+            "engine_evictions": int(self._m_evictions.value),
+            "drained_queries": int(self._m_drained.value),
+            "coalescing_factor": answered / batches if batches else None,
+        }
+
     # ------------------------------------------------------------------
     # Warm-up and the engine degradation ladder
     # ------------------------------------------------------------------
@@ -368,25 +367,23 @@ class ServingDaemon:
                 self._errors[name] = per_item_expected_errors(
                     self._data, synopsis, spec.metric, workload=spec.workload
                 )
-            self._cache_engine(
-                name,
-                BatchQueryEngine(
-                    synopsis, per_item_errors=self._errors.get(name), metric=spec.metric
-                ),
-            )
+            self._cache_engine(name, synopsis)
         self._warmed = True
 
-    def _cache_engine(self, name: str, engine: BatchQueryEngine) -> None:
+    def _cache_engine(self, name: str, synopsis: Synopsis) -> BatchQueryEngine:
+        engine = BatchQueryEngine(
+            synopsis, per_item_errors=self._errors.get(name), metric=self._targets[name].metric
+        )
         self._engines[name] = engine
         self._engines.move_to_end(name)
         while len(self._engines) > self._config.max_engines:
             evicted, _ = self._engines.popitem(last=False)
-            self.stats.engine_evictions += 1
             self._m_evictions.inc()
             log_event(
                 self._log, logging.INFO, "daemon.engine_evicted",
                 target=evicted, max_engines=self._config.max_engines,
             )
+        return engine
 
     def _resolve_engine(self, name: str) -> Tuple[Optional[BatchQueryEngine], str]:
         """``(engine, rung)`` for ``name`` via the degradation ladder.
@@ -400,29 +397,20 @@ class ServingDaemon:
         engine = self._engines.get(name)
         if engine is not None:
             self._engines.move_to_end(name)
-            self.stats.engine_cache_hits += 1
             self._m_ladder.labels(rung="hot").inc()
             return engine, "hot"
         spec = self._targets[name]
         synopsis = self._store.get(spec.store_key(self._fingerprint))
         if synopsis is not None:
-            self.stats.engine_store_resolutions += 1
             rung = "store"
         elif self._config.build_on_miss:
-            synopsis = self._store.get_or_build(
-                self._data, spec, fingerprint=self._fingerprint
-            )
-            self.stats.engine_builds += 1
+            synopsis = self._store.get_or_build(self._data, spec, fingerprint=self._fingerprint)
             rung = "build"
         else:
             self._m_ladder.labels(rung="unavailable").inc()
             return None, "unavailable"
         self._m_ladder.labels(rung=rung).inc()
-        engine = BatchQueryEngine(
-            synopsis, per_item_errors=self._errors.get(name), metric=spec.metric
-        )
-        self._cache_engine(name, engine)
-        return engine, rung
+        return self._cache_engine(name, synopsis), rung
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -436,11 +424,17 @@ class ServingDaemon:
         if self._server is not None:
             raise SynopsisError("the daemon is already listening")
         # A listening daemon is the canonical telemetry producer: turn the
-        # gated instruments on so the `metrics` op has data to expose.
+        # gated engine and span instruments on while it runs.  stop() -- or
+        # a start that fails here -- puts back the state it found.
+        self._disable_telemetry_on_stop = not telemetry.enabled()
         telemetry.enable()
-        self.warm()
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(self._handle_client, host, port)
+        try:
+            self.warm()
+            self._stopped = asyncio.Event()
+            self._server = await asyncio.start_server(self._handle_client, host, port)
+        except BaseException:
+            self._restore_telemetry()
+            raise
         sockets = self._server.sockets or []
         if not sockets:  # pragma: no cover - start_server always binds or raises
             raise SynopsisError("the daemon failed to bind a socket")
@@ -453,6 +447,11 @@ class ServingDaemon:
             max_pending=self._config.max_pending,
         )
         return self._address
+
+    def _restore_telemetry(self) -> None:
+        if self._disable_telemetry_on_stop:
+            telemetry.disable()
+            self._disable_telemetry_on_stop = False
 
     async def serve_until_stopped(self) -> None:
         """Block until :meth:`stop` has fully drained and shut down."""
@@ -477,15 +476,15 @@ class ServingDaemon:
             self._server.close()
         log_event(
             self._log, logging.INFO, "daemon.drain",
-            pending=self._pending_total, connections=len(self._connections),
+            pending=int(self._m_pending.value), connections=len(self._connections),
         )
         for name, handle in list(self._flush_handles.items()):
             handle.cancel()
             self._flush_handles.pop(name, None)
-        drained = self._pending_total
+        drained = int(self._m_pending.value)
         for name in list(self._pending):
             self._flush(name)
-        self.stats.drained_queries += drained
+        self._m_drained.inc(drained)
         # A remote shutdown runs stop() as one of the tracked tasks, and the
         # triggering connection's handler is blocked on *this* coroutine:
         # exclude both or the drain would wait on itself.
@@ -505,9 +504,10 @@ class ServingDaemon:
         log_event(
             self._log, logging.INFO, "daemon.shutdown",
             drained_queries=drained,
-            queries_answered=self.stats.queries_answered,
-            connections=self.stats.connections,
+            queries_answered=int(self._m_queries.value),
+            connections=int(self._m_connections.value),
         )
+        self._restore_telemetry()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -520,7 +520,6 @@ class ServingDaemon:
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        self.stats.connections += 1
         self._m_connections.inc()
         connection = _Connection(writer=writer)
         self._connections.add(connection)
@@ -530,13 +529,22 @@ class ServingDaemon:
             task.add_done_callback(self._handler_tasks.discard)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Past the stream limit (asyncio's 64 KiB default) the line
+                    # cannot be resynchronised: answer it, then close.
+                    self._m_requests.labels(op="invalid").inc()
+                    await self._send_error(
+                        connection, "protocol", None,
+                        "request line exceeds the 64 KiB line limit",
+                    )
+                    break
                 if not line:
                     break
                 line = line.strip()
                 if not line:
                     continue
-                self.stats.requests += 1
                 await self._dispatch(line, connection)
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -558,16 +566,21 @@ class ServingDaemon:
             # The client went away mid-response; the query was still served.
             pass
 
+    async def _send_error(self, connection: _Connection, kind: str,
+                          request_id: Any, detail: str) -> None:
+        """Count one ``errors_total{kind}`` rejection and answer it."""
+        self._m_errors.labels(kind=kind).inc()
+        await self._send(connection, error_response(request_id, detail).to_dict())
+
     async def _dispatch(self, line: bytes, connection: _Connection) -> None:
         try:
             payload = parse_request_line(line)
         except ProtocolError as exc:
-            self.stats.protocol_errors += 1
-            await self._send(connection, error_response(request_id_of(line), str(exc)).to_dict())
+            self._m_requests.labels(op="invalid").inc()
+            await self._send_error(connection, "protocol", request_id_of(line), str(exc))
             return
         op = payload.get("op", OP_QUERY)
-        if op in WIRE_OPS:
-            self._m_requests.labels(op=op).inc()
+        self._m_requests.labels(op=op if op in WIRE_OPS else "invalid").inc()
         if op == OP_QUERY:
             await self._dispatch_query(payload, connection)
         elif op == OP_PING:
@@ -580,13 +593,13 @@ class ServingDaemon:
                 {
                     "op": OP_STATS,
                     "version": PROTOCOL_VERSION,
-                    "stats": self.stats.as_dict(),
+                    "stats": self.stats(),
                     "store": self._store.stats.as_dict(),
                 },
             )
         elif op == OP_METRICS:
-            # One scrape covers the process-wide gated registry (daemon,
-            # engine, span families) and the store's ungated counters.
+            # One scrape: the process-wide gated registry (engine and span
+            # families), then this daemon's and its store's ungated ones.
             await self._send(
                 connection,
                 {
@@ -594,18 +607,15 @@ class ServingDaemon:
                     "version": PROTOCOL_VERSION,
                     "content_type": telemetry.CONTENT_TYPE,
                     "body": render_prometheus(
-                        [telemetry.registry(), self._store.metrics]
+                        [telemetry.registry(), self.metrics, self._store.metrics]
                     ),
                 },
             )
         elif op == OP_SHUTDOWN:
             if not self._config.allow_remote_shutdown:
-                self.stats.protocol_errors += 1
-                await self._send(
-                    connection,
-                    error_response(
-                        payload.get("id"), "remote shutdown is disabled on this daemon"
-                    ).to_dict(),
+                await self._send_error(
+                    connection, "protocol", payload.get("id"),
+                    "remote shutdown is disabled on this daemon",
                 )
                 return
             await self._send(
@@ -614,10 +624,8 @@ class ServingDaemon:
             )
             self._track(asyncio.ensure_future(self.stop()))
         else:
-            self.stats.protocol_errors += 1
-            await self._send(
-                connection,
-                error_response(payload.get("id"), f"unknown op {op!r}").to_dict(),
+            await self._send_error(
+                connection, "protocol", payload.get("id"), f"unknown op {op!r}"
             )
 
     async def _dispatch_query(self, payload: Dict[str, Any], connection: _Connection) -> None:
@@ -627,59 +635,50 @@ class ServingDaemon:
                 {key: value for key, value in payload.items() if key != "op"}
             )
         except ProtocolError as exc:
-            if isinstance(exc, VersionMismatchError):
-                self.stats.version_rejections += 1
-            else:
-                self.stats.protocol_errors += 1
-            await self._send(connection, error_response(
+            await self._send_error(
+                connection,
+                "version" if isinstance(exc, VersionMismatchError) else "protocol",
                 request_id if isinstance(request_id, (int, str))
                 and not isinstance(request_id, bool) else None,
                 str(exc),
-            ).to_dict())
+            )
             return
 
         target = request.target or self._default_target
         if target not in self._targets:
-            self.stats.invalid_queries += 1
-            await self._send(connection, error_response(
-                request.id, f"unknown target {target!r}"
-            ).to_dict())
+            await self._send_error(
+                connection, "invalid", request.id, f"unknown target {target!r}"
+            )
             return
         domain_size = self._domain_sizes.get(target)
         if domain_size is not None and request.end >= domain_size:
             # Validated per query at admission so one bad range can never
             # poison the coalesced batch it would have joined.
-            self.stats.invalid_queries += 1
-            await self._send(connection, error_response(
-                request.id,
+            await self._send_error(
+                connection, "invalid", request.id,
                 f"query touches item {request.end} but target {target!r} covers "
                 f"[0, {domain_size})",
-            ).to_dict())
+            )
             return
 
         # Admission control: explicit overloaded responses, never unbounded
         # queues.  Checked before enqueueing so rejections are immediate.
         if self._draining:
-            self._reject_overloaded(request.id, "draining")
-            await self._send(connection, error_response(
-                request.id, "daemon is draining for shutdown", status=STATUS_OVERLOADED
-            ).to_dict())
+            await self._reject_overloaded(
+                connection, request.id, "draining", "daemon is draining for shutdown"
+            )
             return
         if connection.inflight >= self._config.max_inflight_per_client:
-            self._reject_overloaded(request.id, "inflight")
-            await self._send(connection, error_response(
-                request.id,
+            await self._reject_overloaded(
+                connection, request.id, "inflight",
                 f"client in-flight cap reached ({self._config.max_inflight_per_client})",
-                status=STATUS_OVERLOADED,
-            ).to_dict())
+            )
             return
-        if self._pending_total >= self._config.max_pending:
-            self._reject_overloaded(request.id, "pending")
-            await self._send(connection, error_response(
-                request.id,
+        if self._m_pending.value >= self._config.max_pending:
+            await self._reject_overloaded(
+                connection, request.id, "pending",
                 f"server pending queue is full ({self._config.max_pending})",
-                status=STATUS_OVERLOADED,
-            ).to_dict())
+            )
             return
 
         future: "asyncio.Future[QueryResponse]" = asyncio.get_running_loop().create_future()
@@ -687,22 +686,25 @@ class ServingDaemon:
         connection.inflight += 1
         self._track(asyncio.ensure_future(self._respond(connection, future)))
 
-    def _reject_overloaded(self, request_id: Any, reason: str) -> None:
-        """Account one admission-control rejection (stats, metrics, log).
+    async def _reject_overloaded(self, connection: _Connection, request_id: Any,
+                                 reason: str, detail: str) -> None:
+        """Count, log and answer one admission-control rejection.
 
         The overload log is rate-limited per reason — an overloaded daemon
         must not amplify its own overload with log volume; the suppressed
         count rides on the next allowed record.
         """
-        self.stats.overloaded += 1
         self._m_rejections.labels(reason=reason).inc()
         if self._overload_limiter.allow(reason):
             log_event(
                 self._log, logging.WARNING, "daemon.overload",
                 reason=reason, request_id=request_id,
-                pending=self._pending_total,
+                pending=int(self._m_pending.value),
                 suppressed=self._overload_limiter.drain_suppressed(reason),
             )
+        await self._send(
+            connection, error_response(request_id, detail, status=STATUS_OVERLOADED).to_dict()
+        )
 
     async def _respond(self, connection: _Connection,
                        future: "asyncio.Future[QueryResponse]") -> None:
@@ -719,8 +721,7 @@ class ServingDaemon:
                  future: "asyncio.Future[QueryResponse]") -> None:
         bucket = self._pending.setdefault(target, [])
         bucket.append((request, future))
-        self._pending_total += 1
-        self._m_pending.set(self._pending_total)
+        self._m_pending.inc()
         if len(bucket) >= self._config.max_batch:
             handle = self._flush_handles.pop(target, None)
             if handle is not None:
@@ -749,8 +750,7 @@ class ServingDaemon:
         pending = self._pending.pop(target, [])
         if not pending:
             return
-        self._pending_total -= len(pending)
-        self._m_pending.set(self._pending_total)
+        self._m_pending.dec(len(pending))
         requests = [request for request, _ in pending]
         trace_flush = self._config.slow_query_ms is not None
         started = time.perf_counter()
@@ -794,7 +794,7 @@ class ServingDaemon:
                 with span("daemon.resolve_engine", target=target):
                     engine, rung = self._resolve_engine(target)
                 if engine is None:
-                    self.stats.unavailable += len(requests)
+                    self._m_unavailable.inc(len(requests))
                     responses = [
                         error_response(
                             request.id,
@@ -814,16 +814,13 @@ class ServingDaemon:
                             else None
                         )
                         responses = responses_for(requests, answers, errors)
-                    self.stats.engine_batches += 1
-                    self.stats.queries_answered += len(requests)
                     self._m_batches.inc()
                     self._m_queries.inc(len(requests))
                     self._m_batch_size.observe(len(requests))
-                    self.stats.largest_batch = max(self.stats.largest_batch, len(requests))
-                    if len(requests) > 1:
-                        self.stats.coalesced_queries += len(requests)
+                    if len(requests) > self._m_largest_batch.value:
+                        self._m_largest_batch.set(len(requests))
             except Exception as exc:  # noqa: BLE001 - the daemon must not die
-                self.stats.internal_errors += len(requests)
+                self._m_errors.labels(kind="internal").inc(len(requests))
                 responses = [
                     error_response(request.id, f"internal error answering batch: {exc}")
                     for request in requests

@@ -125,10 +125,17 @@ class _Instrument:
         self.labelnames = _validate_labelnames(labelnames)
         self._gated = gated
         self._children: Dict[Tuple[str, ...], "_Instrument"] = {}
+        # ``labels()`` call shape -> child: only validated shapes get in, so
+        # a hit needs neither name validation nor string conversion.
+        self._lookup: Dict[Tuple[Tuple[str, object], ...], "_Instrument"] = {}
         self._lock = threading.Lock()
 
     def labels(self, **labels: object) -> "_Instrument":
         """The child instrument for one label combination (created on demand)."""
+        shape = tuple(labels.items())
+        child = self._lookup.get(shape)
+        if child is not None:
+            return child
         if not self.labelnames:
             raise ValueError(f"metric {self.name!r} has no labels")
         if set(labels) != set(self.labelnames):
@@ -136,13 +143,12 @@ class _Instrument:
                 f"metric {self.name!r} expects labels {self.labelnames}, got {tuple(labels)}"
             )
         key = tuple(str(labels[n]) for n in self.labelnames)
-        child = self._children.get(key)
-        if child is None:
-            with self._lock:
-                child = self._children.get(key)
-                if child is None:
-                    child = self._make_child()
-                    self._children[key] = child
+        with self._lock:
+            child = self._children.get(key)
+            if child is None:
+                child = self._make_child()
+                self._children[key] = child
+            self._lookup[shape] = child
         return child
 
     def _make_child(self) -> "_Instrument":

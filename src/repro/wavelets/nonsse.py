@@ -49,7 +49,7 @@ import numpy as np
 from ..core.metrics import DEFAULT_SANITY, ErrorMetric, MetricSpec
 from ..core.wavelet import WaveletSynopsis
 from ..exceptions import SynopsisError
-from ..models.base import ProbabilisticModel
+from ..models.base import ProbabilisticModel, normalise_data
 from ..models.frequency import FrequencyDistributions
 from ..telemetry import span
 from .coefficients import expected_coefficients
@@ -374,12 +374,6 @@ class RestrictedWaveletDP:
         return [self.solve(budget) for budget in range(max_budget + 1)]
 
 
-def _as_distributions(
-    data: Union[ProbabilisticModel, FrequencyDistributions],
-) -> FrequencyDistributions:
-    return data.to_frequency_distributions() if isinstance(data, ProbabilisticModel) else data
-
-
 def restricted_wavelet_synopsis(
     data: Union[ProbabilisticModel, FrequencyDistributions],
     coefficients: int,
@@ -394,7 +388,8 @@ def restricted_wavelet_synopsis(
     frequencies; the DP chooses which ``coefficients`` of them to retain so
     that the expected (optionally workload-weighted) error metric is minimised.
     """
-    dp = RestrictedWaveletDP(_as_distributions(data), metric, sanity=sanity, workload=workload)
+    distributions = normalise_data(data).to_frequency_distributions()
+    dp = RestrictedWaveletDP(distributions, metric, sanity=sanity, workload=workload)
     _, synopsis = dp.solve(coefficients)
     return synopsis
 
@@ -419,6 +414,7 @@ def restricted_wavelet_sweep(
         return []
     if any(b < 0 for b in budgets):
         raise SynopsisError("the coefficient budget must be non-negative")
-    dp = RestrictedWaveletDP(_as_distributions(data), metric, sanity=sanity, workload=workload)
+    distributions = normalise_data(data).to_frequency_distributions()
+    dp = RestrictedWaveletDP(distributions, metric, sanity=sanity, workload=workload)
     dp.prepare(max(budgets))
     return [dp.solve(b)[1] for b in budgets]

@@ -167,10 +167,10 @@ class TestCoalescing:
         run(_with_daemon(daemon, body))
         # Strictly fewer engine calls than queries is the whole point of the
         # micro-batching window.
-        assert daemon.stats.queries_answered == 40
-        assert daemon.stats.engine_batches < 40
-        assert daemon.stats.coalesced_queries > 0
-        assert daemon.stats.largest_batch > 1
+        assert daemon.stats()["queries_answered"] == 40
+        assert daemon.stats()["engine_batches"] < 40
+        assert daemon.stats()["coalesced_queries"] > 0
+        assert daemon.stats()["largest_batch"] > 1
 
     def test_full_window_flushes_early_at_max_batch(self, daemon_factory):
         daemon, _ = daemon_factory(
@@ -190,8 +190,8 @@ class TestCoalescing:
             assert {reply["status"] for reply in replies} == {"ok"}
 
         run(_with_daemon(daemon, body))
-        assert daemon.stats.engine_batches == 1
-        assert daemon.stats.largest_batch == 4
+        assert daemon.stats()["engine_batches"] == 1
+        assert daemon.stats()["largest_batch"] == 4
 
     def test_shutdown_drains_an_armed_window(self, daemon_factory):
         daemon, _ = daemon_factory(config=DaemonConfig(window_ms=10_000.0))
@@ -212,8 +212,8 @@ class TestCoalescing:
             assert reply["id"] == "pending"
 
         run(_with_daemon(daemon, body))
-        assert daemon.stats.drained_queries == 1
-        assert daemon.stats.queries_answered == 1
+        assert daemon.stats()["drained_queries"] == 1
+        assert daemon.stats()["queries_answered"] == 1
 
 
 class TestAdmissionControl:
@@ -243,7 +243,7 @@ class TestAdmissionControl:
         for reply in replies:
             if reply["status"] == "overloaded":
                 assert "pending" in reply["detail"]
-        assert daemon.stats.overloaded == 15
+        assert daemon.stats()["overloaded"] == 15
 
     def test_per_client_inflight_cap(self, daemon_factory):
         daemon, _ = daemon_factory(
@@ -268,7 +268,7 @@ class TestAdmissionControl:
         statuses = [reply["status"] for reply in replies]
         assert statuses.count("ok") == 3
         assert statuses.count("overloaded") == 7
-        assert daemon.stats.overloaded == 7
+        assert daemon.stats()["overloaded"] == 7
 
 
 class TestProtocolRejections:
@@ -306,8 +306,8 @@ class TestProtocolRejections:
         assert extra["status"] == "error" and "unknown request field" in extra["detail"]
         assert op["status"] == "error" and "unknown op" in op["detail"]
         assert fine["status"] == "ok"
-        assert daemon.stats.version_rejections == 1
-        assert daemon.stats.protocol_errors >= 3
+        assert daemon.stats()["version_rejections"] == 1
+        assert daemon.stats()["protocol_errors"] >= 3
 
     def test_unknown_target_and_out_of_domain_are_rejected_per_query(
         self, daemon_factory
@@ -331,7 +331,7 @@ class TestProtocolRejections:
             assert fine.ok
 
         run(_with_daemon(daemon, body))
-        assert daemon.stats.invalid_queries == 2
+        assert daemon.stats()["invalid_queries"] == 2
 
     def test_remote_shutdown_is_gated(self, daemon_factory):
         daemon, _ = daemon_factory()
@@ -367,7 +367,7 @@ class TestProtocolRejections:
                 await asyncio.open_connection(host, port)
 
         run(body())
-        assert daemon.stats.queries_answered == 1
+        assert daemon.stats()["queries_answered"] == 1
 
 
 class TestDegradationLadder:
@@ -386,8 +386,8 @@ class TestDegradationLadder:
             assert first.ok and second.ok
 
         run(_with_daemon(daemon, body))
-        assert daemon.stats.engine_evictions >= 2
-        assert daemon.stats.engine_store_resolutions >= 1
+        assert daemon.stats()["engine_evictions"] >= 2
+        assert daemon.stats()["engine_store_resolutions"] >= 1
 
     def test_store_miss_without_build_on_miss_is_unavailable(self, daemon_factory):
         daemon, store = daemon_factory(config=DaemonConfig(max_engines=1))
@@ -410,7 +410,7 @@ class TestDegradationLadder:
             assert alive.ok
 
         run(_with_daemon(daemon, body))
-        assert daemon.stats.unavailable == 1
+        assert daemon.stats()["unavailable"] == 1
 
     def test_build_on_miss_rebuilds_instead(self, daemon_factory):
         daemon, store = daemon_factory(
@@ -429,8 +429,8 @@ class TestDegradationLadder:
             assert rebuilt.ok
 
         run(_with_daemon(daemon, body))
-        assert daemon.stats.engine_builds == 1
-        assert daemon.stats.unavailable == 0
+        assert daemon.stats()["engine_builds"] == 1
+        assert daemon.stats()["unavailable"] == 0
 
 
 class TestDeterminism:
@@ -518,6 +518,10 @@ class TestTelemetryIntegration:
         "repro_daemon_engine_evictions_total",
         "repro_daemon_pending_queries",
         "repro_daemon_slow_queries_total",
+        "repro_daemon_errors_total",
+        "repro_daemon_unavailable_total",
+        "repro_daemon_drained_queries_total",
+        "repro_daemon_largest_batch",
         "repro_engine_batches_total",
         "repro_engine_batch_latency_ms",
         "repro_store_builds_total",
@@ -550,9 +554,9 @@ class TestTelemetryIntegration:
         assert len(families) >= 12
         for name in self.REQUIRED_FAMILIES:
             assert name in families, f"family {name} missing from the scrape"
-        # The process-global counters are cumulative across daemons, so the
-        # assertions on values go through the daemon-lifetime ServingStats
-        # cross-check instead of absolute sample values.
+        # The repro_daemon_* families live in the daemon's own registry, so
+        # their values are this daemon's; the exact cross-check against the
+        # stats op is TestSingleSourceAccounting's.
         ladder = families["repro_daemon_ladder_total"]
         rungs = {labels["rung"] for _, labels, _ in ladder.samples}
         assert "hot" in rungs  # the warmed engines answered from cache
@@ -669,3 +673,264 @@ class TestTelemetryIntegration:
             if record.getMessage() == "daemon.listen"
         )
         assert listen.event_fields["targets"] == ["default", "wave"]
+
+
+def _stats_from_scrape(families):
+    """The ``stats`` payload recomputed from the scrape's repro_daemon_* samples."""
+
+    def values(name, suffix=""):
+        return {
+            tuple(labels.values()): value
+            for sample, labels, value in families[name].samples
+            if sample == name + suffix
+        }
+
+    def total(name):
+        return int(sum(values(name).values()))
+
+    def labelled(name, label):
+        return int(values(name).get((label,), 0))
+
+    batch_le_1 = values("repro_daemon_batch_size", "_bucket")[("1",)]
+    answered = total("repro_daemon_queries_answered_total")
+    batches = total("repro_daemon_engine_batches_total")
+    return {
+        "connections": total("repro_daemon_connections_total"),
+        "requests": total("repro_daemon_requests_total"),
+        "queries_answered": answered,
+        "engine_batches": batches,
+        "coalesced_queries": int(values("repro_daemon_batch_size", "_sum")[()] - batch_le_1),
+        "largest_batch": total("repro_daemon_largest_batch"),
+        "overloaded": total("repro_daemon_admission_rejections_total"),
+        "unavailable": total("repro_daemon_unavailable_total"),
+        "protocol_errors": labelled("repro_daemon_errors_total", "protocol"),
+        "version_rejections": labelled("repro_daemon_errors_total", "version"),
+        "invalid_queries": labelled("repro_daemon_errors_total", "invalid"),
+        "internal_errors": labelled("repro_daemon_errors_total", "internal"),
+        "engine_cache_hits": labelled("repro_daemon_ladder_total", "hot"),
+        "engine_store_resolutions": labelled("repro_daemon_ladder_total", "store"),
+        "engine_builds": labelled("repro_daemon_ladder_total", "build"),
+        "engine_evictions": total("repro_daemon_engine_evictions_total"),
+        "drained_queries": total("repro_daemon_drained_queries_total"),
+        "coalescing_factor": answered / batches if batches else None,
+    }
+
+
+class TestSingleSourceAccounting:
+    """The ``stats`` op and the scrape are two views of one set of instruments."""
+
+    def test_scripted_session_stats_are_exact_and_match_the_scrape(
+        self, daemon_factory
+    ):
+        from repro.telemetry import parse_prometheus_text
+
+        daemon, store = daemon_factory(
+            config=DaemonConfig(window_ms=50.0, max_pending=1, max_engines=1)
+        )
+
+        async def body(host, port):
+            client = await LoadgenClient.connect(host, port)
+            try:
+                # Warm-up cached "wave" last, evicting "default" (eviction 1).
+                # "a" resolves "default" through the store (evicting "wave",
+                # eviction 2); "b" arrives while "a" is pending: overloaded.
+                await client.send(QueryRequest.point("a", 1).to_dict())
+                await client.send(QueryRequest.point("b", 2).to_dict())
+                replies = {}
+                for _ in range(2):
+                    reply = await asyncio.wait_for(client.recv(), timeout=5.0)
+                    replies[reply["id"]] = reply["status"]
+                assert replies == {"a": "ok", "b": "overloaded"}
+                unknown = await client.round_trip({"op": "teleport", "id": "t"})
+                assert unknown["status"] == "error"
+                store.clear_memory()
+                store.clear_disk()
+                gone = await client.query(QueryRequest.point("c", 1, target="wave"))
+                assert gone.status == "unavailable"
+                stats = await client.round_trip({"op": "stats"})
+                scrape = await client.round_trip({"op": "metrics"})
+            finally:
+                await client.close()
+            return stats["stats"], parse_prometheus_text(scrape["body"])
+
+        stats, families = run(_with_daemon(daemon, body))
+        expected = {
+            "connections": 1,
+            "requests": 5,  # a, b, the unknown op, c and the stats op itself
+            "queries_answered": 1,
+            "engine_batches": 1,
+            "coalesced_queries": 0,
+            "largest_batch": 1,
+            "overloaded": 1,
+            "unavailable": 1,
+            "protocol_errors": 1,
+            "version_rejections": 0,
+            "invalid_queries": 0,
+            "internal_errors": 0,
+            "engine_cache_hits": 0,
+            "engine_store_resolutions": 1,
+            "engine_builds": 0,
+            "engine_evictions": 2,
+            "drained_queries": 0,
+            "coalescing_factor": 1.0,
+        }
+        assert stats == expected
+        assert all(
+            type(value) is int for key, value in stats.items() if key != "coalescing_factor"
+        )
+        # The scrape carries the same numbers (plus its own request).
+        assert _stats_from_scrape(families) == {**expected, "requests": 6}
+        assert daemon.stats() == {**expected, "requests": 6}
+
+    def test_each_daemon_scrapes_its_own_counts(self, daemon_factory):
+        from repro.telemetry import parse_prometheus_text
+
+        first, _ = daemon_factory()
+        second, _ = daemon_factory()
+
+        async def scrape(daemon):
+            client = await LoadgenClient.connect(*daemon.address)
+            try:
+                reply = await client.round_trip({"op": "metrics"})
+            finally:
+                await client.close()
+            families = parse_prometheus_text(reply["body"])
+
+            def total(name, **labels):
+                return sum(
+                    value for _, sample_labels, value in families[name].samples
+                    if labels.items() <= sample_labels.items()
+                )
+
+            return {
+                "queries_answered": total("repro_daemon_queries_answered_total"),
+                "engine_batches": total("repro_daemon_engine_batches_total"),
+                "engine_cache_hits": total("repro_daemon_ladder_total", rung="hot"),
+                "connections": total("repro_daemon_connections_total"),
+            }
+
+        async def body():
+            await first.start(port=0)
+            await second.start(port=0)
+            try:
+                before = [await scrape(first), await scrape(second)]
+                client = await LoadgenClient.connect(*first.address)
+                try:
+                    assert (await client.query(QueryRequest.point("q", 1))).ok
+                finally:
+                    await client.close()
+                after = [await scrape(first), await scrape(second)]
+            finally:
+                await first.stop()
+                await second.stop()
+            return before, after
+
+        before, after = run(body())
+        for scraped in before:
+            assert scraped["queries_answered"] == 0
+            assert scraped["engine_batches"] == 0
+            assert scraped["engine_cache_hits"] == 0
+            assert scraped["connections"] == 1  # the scrape's own connection
+        assert after[0]["queries_answered"] == 1
+        assert after[0]["engine_cache_hits"] == 1
+        assert after[1]["queries_answered"] == 0
+        assert after[1]["engine_cache_hits"] == 0
+
+
+class TestOversizedLines:
+    def test_a_line_past_the_stream_limit_is_answered_counted_and_closed(
+        self, daemon_factory
+    ):
+        daemon, _ = daemon_factory()
+
+        async def body(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(b'{"id": "' + b"x" * 100_000 + b'"}\n')
+                await writer.drain()
+                reply = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+                closed = await asyncio.wait_for(reader.readline(), 5.0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return reply, closed
+
+        reply, closed = run(_with_daemon(daemon, body))
+        assert reply["status"] == "error"
+        assert reply["id"] == "?"  # the request id is unknown
+        assert "64 KiB" in reply["detail"]
+        assert closed == b""
+        stats = daemon.stats()
+        assert stats["protocol_errors"] == 1
+        assert stats["requests"] == 1
+
+
+class TestTelemetryState:
+    """A daemon leaves the process-wide telemetry flag as it found it."""
+
+    @pytest.mark.parametrize("initially", [False, True])
+    def test_stop_restores_the_flag(self, daemon_factory, initially):
+        from repro import telemetry
+
+        daemon, _ = daemon_factory()
+        (telemetry.enable if initially else telemetry.disable)()
+        try:
+
+            async def body(host, port):
+                assert telemetry.enabled()
+
+            run(_with_daemon(daemon, body))
+            assert telemetry.enabled() is initially
+        finally:
+            telemetry.disable()
+
+    def test_a_failed_start_restores_the_flag(self, daemon_factory, monkeypatch):
+        from repro import telemetry
+
+        daemon, store = daemon_factory()
+
+        def fail(*args, **kwargs):
+            raise SynopsisError("warm-up failed")
+
+        monkeypatch.setattr(store, "get_or_build", fail)
+        telemetry.disable()
+        with pytest.raises(SynopsisError, match="warm-up failed"):
+            run(daemon.start(port=0))
+        assert telemetry.enabled() is False
+
+
+class TestVectorData:
+    def test_a_daemon_over_a_frequency_vector_serves_its_deterministic_answers(
+        self, spec, tmp_path
+    ):
+        from repro.models import FrequencyDistributions
+
+        frequencies = np.random.default_rng(4).integers(0, 40, size=DOMAIN).astype(float)
+        store = SynopsisStore(tmp_path / "store")
+        # A key written by the store for the plain vector is the one the
+        # daemon looks up: warm-up is a cache hit, not a second build.
+        store.get_or_build(frequencies, spec)
+        daemon = ServingDaemon(frequencies, store, {"default": spec})
+        batch = generate_query_mix(DOMAIN, 40, seed=8)
+
+        async def body(host, port):
+            client = await LoadgenClient.connect(host, port)
+            try:
+                return [
+                    await client.query(request)
+                    for request in requests_from_batch(batch, prefix="v")
+                ]
+            finally:
+                await client.close()
+
+        got = run(_with_daemon(daemon, body))
+        assert store.stats.builds == 1
+        distributions = FrequencyDistributions.deterministic(frequencies)
+        engine = BatchQueryEngine.from_model(
+            store.get_or_build(distributions, spec), distributions, spec.metric
+        )
+        assert all(response.ok for response in got)
+        assert np.array_equal([r.answer for r in got], engine.answer(batch))
+        assert np.array_equal(
+            [r.expected_error for r in got], engine.attribute_errors(batch)
+        )

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import DomainError, ModelValidationError
+from repro.exceptions import EvaluationError, SynopsisError
+from repro.models import normalise_data
 from repro.models.frequency import FrequencyDistributions
 from repro.models.values import ValueGrid
 
@@ -114,3 +116,39 @@ class TestStructure:
 
     def test_repr(self):
         assert "n=2" in repr(simple_distributions())
+
+
+class TestNormaliseData:
+    """The one input rule shared by building and evaluation."""
+
+    def test_models_and_distributions_pass_through(self):
+        from tests.conftest import small_tuple_pdf
+
+        model = small_tuple_pdf()
+        dist = simple_distributions()
+        assert normalise_data(model) is model
+        assert normalise_data(dist) is dist
+        assert dist.to_frequency_distributions() is dist
+
+    def test_vectors_become_deterministic_distributions(self):
+        normalised = normalise_data([3.0, 0.0, 5.0])
+        assert isinstance(normalised, FrequencyDistributions)
+        assert np.array_equal(normalised.expectations(), [3.0, 0.0, 5.0])
+        assert np.array_equal(normalised.variances(), [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [[], [[1.0, 2.0]], "not a model", None])
+    def test_anything_else_raises_the_callers_error_type(self, bad):
+        with pytest.raises(SynopsisError):
+            normalise_data(bad)
+        with pytest.raises(EvaluationError):
+            normalise_data(bad, error=EvaluationError)
+
+    def test_evaluation_accepts_the_vectors_build_accepts(self):
+        from repro.core.builders import build_histogram
+        from repro.evaluation import expected_error
+
+        frequencies = [4.0, 4.0, 1.0, 9.0]
+        histogram = build_histogram(frequencies, 2, metric="sse")
+        assert expected_error(frequencies, histogram, "sse") == expected_error(
+            FrequencyDistributions.deterministic(frequencies), histogram, "sse"
+        )

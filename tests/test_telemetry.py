@@ -142,6 +142,22 @@ class TestInstruments:
         with pytest.raises(ValueError, match="record through"):
             family.inc()
 
+    def test_label_shape_is_validated_even_when_children_exist(self):
+        """The cached-child fast path never lets a wrong label shape through."""
+        registry = MetricsRegistry(gated=False)
+        family = registry.counter("t_cached_total", labelnames=("op", "kind"))
+        child = family.labels(op="ping", kind="a")
+        assert family.labels(op="ping", kind="a") is child
+        assert family.labels(kind="a", op="ping") is child  # keyword order is free
+        for bad in ({"op": "ping"}, {"op": "ping", "kind": "a", "extra": "x"},
+                    {"other": "ping", "kind": "a"}):
+            with pytest.raises(ValueError, match="expects labels"):
+                family.labels(**bad)
+        scalar = registry.counter("t_cached_scalar_total")
+        with pytest.raises(ValueError, match="has no labels"):
+            scalar.labels(op="ping")
+        assert [labels for labels, _ in family.samples()] == [{"op": "ping", "kind": "a"}]
+
     def test_invalid_metric_and_label_names_are_rejected(self):
         with pytest.raises(ValueError, match="invalid metric name"):
             Counter("9starts_with_digit")
