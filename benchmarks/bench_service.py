@@ -12,8 +12,8 @@ ephemeral loopback port and attacks it with the seeded load generator
 
 * **Concurrency sweep** (closed loop, three levels) — qps and p50/p99
   latency per level, plus the server-side engine-batch count.  At the high
-  concurrency levels the daemon must coalesce: strictly fewer engine calls
-  than client queries.
+  concurrency levels (c >= 8) the daemon must coalesce: a coalescing factor
+  (queries per engine call) of at least half the concurrency.
 * **Overload burst** (open loop) — workers send far beyond ``max_pending``.
   Admission control must keep admitted-query latency bounded and reject the
   excess with explicit ``overloaded`` responses; the daemon must still
@@ -139,9 +139,13 @@ def main(argv=None) -> int:
     )
 
     # Acceptance checks, recorded in the artefact.
+    # A count, not a timing: an adaptive flush that stopped coalescing under
+    # concurrent load would fail this on any machine.
     high = [level for level in report["levels"] if level["concurrency"] >= 8]
     coalesces = all(
-        0 < level["engine_batches"] < level["queries"] for level in high
+        0 < level["engine_batches"]
+        and level["queries"] / level["engine_batches"] >= level["concurrency"] / 2
+        for level in high
     )
     over_statuses = overload["statuses"]
     admission_holds = (

@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=DEFAULT_PORT,
                        help=f"TCP port (default {DEFAULT_PORT}; 0 = any free port)")
     serve.add_argument("--window-ms", type=float, default=2.0,
-                       help="micro-batching window in milliseconds")
+                       help="upper bound of a micro-batching window in milliseconds "
+                            "(after a lone-query flush the next window flushes on "
+                            "the next event-loop turn)")
     serve.add_argument("--max-pending", type=int, default=1024,
                        help="admission control: total pending-queue depth")
     serve.add_argument("--max-inflight", type=int, default=64,

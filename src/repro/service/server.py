@@ -8,12 +8,16 @@ mechanisms make it a serving tier rather than a socket wrapper:
 
 * **Request coalescing.**  Concurrent queries against the same target are
   collected into one :class:`~repro.service.queries.QueryBatch` per
-  micro-batching window (``window_ms``, default 2 ms; the window arms when
-  the first query of a batch arrives).  The vectorised
+  micro-batching window (the window opens when the first query of a batch
+  arrives and lasts at most ``window_ms``, default 2 ms).  The vectorised
   :class:`~repro.service.engine.BatchQueryEngine` then amortises one dense
   NumPy evaluation across every waiting client, so the engine-call count
   grows with *windows*, not with *queries* — the effect the load generator
-  measures as the coalescing factor.
+  measures as the coalescing factor.  The window adapts: when a target's
+  last flush answered a lone query, waiting bought nothing, so its next
+  window flushes on the next event-loop turn instead (queries read in the
+  same turn still share it); a flush of two or more puts the full
+  ``window_ms`` timer back.
 
 * **Admission control.**  The pending-queue depth is bounded
   (``max_pending`` across all targets) and every connection has an in-flight
@@ -31,9 +35,12 @@ mechanisms make it a serving tier rather than a socket wrapper:
   rejection.  Nothing on the query path ever waits on a rebuild it did not
   ask for.
 
-Shutdown is graceful: :meth:`ServingDaemon.stop` stops accepting, flushes
-every armed window immediately, waits for in-flight responses to drain and
-only then closes connections.
+Responses leave from the flush: it encodes each connection's answers and
+writes them with one ``write`` call; a connection handler awaits ``drain``
+after every line it dispatches, so a client that stops reading stops being
+read.  Shutdown is graceful: :meth:`ServingDaemon.stop` stops accepting,
+flushes every open window immediately, and then closes the connections,
+whose transports send what they buffered before they drop.
 
 Accounting has one home, the daemon's own ungated registry
 (:attr:`ServingDaemon.metrics`): the ``stats`` op is computed from its
@@ -51,7 +58,7 @@ import json
 import logging
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, cast
 
 import numpy as np
@@ -102,7 +109,10 @@ DEFAULT_PORT = 7209
 class DaemonConfig:
     """Tunables for :class:`ServingDaemon`, validated at construction.
 
-    ``window_ms`` trades per-query latency for coalescing opportunity;
+    ``window_ms`` is the upper bound of a micro-batching window: the longest
+    a query waits for others to share its engine call (a target whose last
+    flush answered a lone query flushes its next window on the next event-loop
+    turn instead);
     ``max_pending`` / ``max_inflight_per_client`` are the admission-control
     limits; ``max_batch`` flushes a window early once enough queries have
     coalesced; ``max_engines`` bounds the hot engine cache (evicted targets
@@ -147,12 +157,16 @@ def _by_label(family: Counter) -> Dict[str, int]:
     }
 
 
+#: One compact JSON encoder for every line the daemon writes
+#: (``json.dumps`` with these separators would build one per call).
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 @dataclass(eq=False)
 class _Connection:
-    """Per-connection state: serialised writes and the in-flight cap."""
+    """Per-connection state: the writer and the in-flight count."""
 
     writer: asyncio.StreamWriter
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     inflight: int = 0
 
 
@@ -257,8 +271,11 @@ class ServingDaemon:
         self._engines: "OrderedDict[str, BatchQueryEngine]" = OrderedDict()
         self._errors: Dict[str, np.ndarray] = {}
         self._domain_sizes: Dict[str, int] = {}
-        self._pending: Dict[str, List[Tuple[QueryRequest, "asyncio.Future[QueryResponse]"]]] = {}
-        self._flush_handles: Dict[str, asyncio.TimerHandle] = {}
+        self._pending: Dict[str, List[Tuple[QueryRequest, _Connection]]] = {}
+        self._flush_handles: Dict[str, asyncio.Handle] = {}
+        #: Targets whose last flush answered exactly one query: their next
+        #: window flushes on the next loop turn instead of arming the timer.
+        self._next_turn: Set[str] = set()
         self._tasks: Set["asyncio.Task[None]"] = set()
         self._handler_tasks: Set["asyncio.Task[None]"] = set()
         self._connections: Set[_Connection] = set()
@@ -267,7 +284,7 @@ class ServingDaemon:
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
         self._warmed = False
-        self._disable_telemetry_on_stop = False
+        self._holds_telemetry = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -423,17 +440,18 @@ class ServingDaemon:
         """
         if self._server is not None:
             raise SynopsisError("the daemon is already listening")
-        # A listening daemon is the canonical telemetry producer: turn the
+        # A listening daemon is the canonical telemetry producer: hold the
         # gated engine and span instruments on while it runs.  stop() -- or
-        # a start that fails here -- puts back the state it found.
-        self._disable_telemetry_on_stop = not telemetry.enabled()
-        telemetry.enable()
+        # a start that fails here -- releases the hold; the flag returns to
+        # its prior state once no other daemon in the process holds it.
+        telemetry.hold()
+        self._holds_telemetry = True
         try:
             self.warm()
             self._stopped = asyncio.Event()
             self._server = await asyncio.start_server(self._handle_client, host, port)
         except BaseException:
-            self._restore_telemetry()
+            self._release_telemetry()
             raise
         sockets = self._server.sockets or []
         if not sockets:  # pragma: no cover - start_server always binds or raises
@@ -448,10 +466,10 @@ class ServingDaemon:
         )
         return self._address
 
-    def _restore_telemetry(self) -> None:
-        if self._disable_telemetry_on_stop:
-            telemetry.disable()
-            self._disable_telemetry_on_stop = False
+    def _release_telemetry(self) -> None:
+        if self._holds_telemetry:
+            telemetry.release()
+            self._holds_telemetry = False
 
     async def serve_until_stopped(self) -> None:
         """Block until :meth:`stop` has fully drained and shut down."""
@@ -462,10 +480,12 @@ class ServingDaemon:
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, flush windows, drain, close.
 
-        Every query already admitted is answered — armed micro-batching
+        Every query already admitted is answered — open micro-batching
         windows are flushed immediately rather than waiting out their
-        timers, and the daemon waits (bounded by ``drain_timeout``) for the
-        responses to reach their clients before closing connections.
+        timers, which puts every answer in its connection's write buffer.
+        Closing a transport sends what it buffered before the connection
+        drops, and the daemon waits (bounded by ``drain_timeout``) for the
+        connection handlers to see their connections closed.
         """
         if self._draining:
             if self._stopped is not None:
@@ -485,20 +505,12 @@ class ServingDaemon:
         for name in list(self._pending):
             self._flush(name)
         self._m_drained.inc(drained)
-        # A remote shutdown runs stop() as one of the tracked tasks, and the
-        # triggering connection's handler is blocked on *this* coroutine:
-        # exclude both or the drain would wait on itself.
-        current = asyncio.current_task()
-        pending_tasks = [task for task in self._tasks if task is not current]
-        if pending_tasks:
-            await asyncio.wait(pending_tasks, timeout=self._config.drain_timeout)
         for connection in list(self._connections):
             connection.writer.close()
         # Closing the transports EOFs the readers; wait for the connection
         # handlers to notice and exit so loop teardown finds no stray tasks.
-        handler_tasks = [task for task in self._handler_tasks if task is not current]
-        if handler_tasks:
-            await asyncio.wait(handler_tasks, timeout=self._config.drain_timeout)
+        if self._handler_tasks:
+            await asyncio.wait(list(self._handler_tasks), timeout=self._config.drain_timeout)
         if self._server is not None:
             await self._server.wait_closed()
         log_event(
@@ -507,7 +519,7 @@ class ServingDaemon:
             queries_answered=int(self._m_queries.value),
             connections=int(self._m_connections.value),
         )
-        self._restore_telemetry()
+        self._release_telemetry()
         if self._stopped is not None:
             self._stopped.set()
 
@@ -535,7 +547,7 @@ class ServingDaemon:
                     # Past the stream limit (asyncio's 64 KiB default) the line
                     # cannot be resynchronised: answer it, then close.
                     self._m_requests.labels(op="invalid").inc()
-                    await self._send_error(
+                    self._send_error(
                         connection, "protocol", None,
                         "request line exceeds the 64 KiB line limit",
                     )
@@ -545,7 +557,11 @@ class ServingDaemon:
                 line = line.strip()
                 if not line:
                     continue
-                await self._dispatch(line, connection)
+                self._dispatch(line, connection)
+                # Backpressure: returns at once unless the transport is past
+                # its high-water mark, so a client that stops reading its
+                # answers stops being read.
+                await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -556,39 +572,33 @@ class ServingDaemon:
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
 
-    async def _send(self, connection: _Connection, payload: Mapping[str, Any]) -> None:
-        data = (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-        try:
-            async with connection.lock:
-                connection.writer.write(data)
-                await connection.writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            # The client went away mid-response; the query was still served.
-            pass
+    def _send(self, connection: _Connection, payload: Mapping[str, Any]) -> None:
+        """Write one whole response line; its handler drains after dispatch."""
+        connection.writer.write((_encode_json(payload) + "\n").encode("utf-8"))
 
-    async def _send_error(self, connection: _Connection, kind: str,
-                          request_id: Any, detail: str) -> None:
+    def _send_error(self, connection: _Connection, kind: str,
+                    request_id: Any, detail: str) -> None:
         """Count one ``errors_total{kind}`` rejection and answer it."""
         self._m_errors.labels(kind=kind).inc()
-        await self._send(connection, error_response(request_id, detail).to_dict())
+        self._send(connection, error_response(request_id, detail).to_dict())
 
-    async def _dispatch(self, line: bytes, connection: _Connection) -> None:
+    def _dispatch(self, line: bytes, connection: _Connection) -> None:
         try:
             payload = parse_request_line(line)
         except ProtocolError as exc:
             self._m_requests.labels(op="invalid").inc()
-            await self._send_error(connection, "protocol", request_id_of(line), str(exc))
+            self._send_error(connection, "protocol", request_id_of(line), str(exc))
             return
         op = payload.get("op", OP_QUERY)
         self._m_requests.labels(op=op if op in WIRE_OPS else "invalid").inc()
         if op == OP_QUERY:
-            await self._dispatch_query(payload, connection)
+            self._dispatch_query(payload, connection)
         elif op == OP_PING:
-            await self._send(connection, {"op": "pong", "version": PROTOCOL_VERSION})
+            self._send(connection, {"op": "pong", "version": PROTOCOL_VERSION})
         elif op == OP_INFO:
-            await self._send(connection, self.info())
+            self._send(connection, self.info())
         elif op == OP_STATS:
-            await self._send(
+            self._send(
                 connection,
                 {
                     "op": OP_STATS,
@@ -600,7 +610,7 @@ class ServingDaemon:
         elif op == OP_METRICS:
             # One scrape: the process-wide gated registry (engine and span
             # families), then this daemon's and its store's ungated ones.
-            await self._send(
+            self._send(
                 connection,
                 {
                     "op": OP_METRICS,
@@ -613,29 +623,29 @@ class ServingDaemon:
             )
         elif op == OP_SHUTDOWN:
             if not self._config.allow_remote_shutdown:
-                await self._send_error(
+                self._send_error(
                     connection, "protocol", payload.get("id"),
                     "remote shutdown is disabled on this daemon",
                 )
                 return
-            await self._send(
+            self._send(
                 connection,
                 {"op": OP_SHUTDOWN, "version": PROTOCOL_VERSION, "status": "draining"},
             )
             self._track(asyncio.ensure_future(self.stop()))
         else:
-            await self._send_error(
+            self._send_error(
                 connection, "protocol", payload.get("id"), f"unknown op {op!r}"
             )
 
-    async def _dispatch_query(self, payload: Dict[str, Any], connection: _Connection) -> None:
+    def _dispatch_query(self, payload: Dict[str, Any], connection: _Connection) -> None:
         request_id = payload.get("id")
         try:
             request = QueryRequest.from_dict(
                 {key: value for key, value in payload.items() if key != "op"}
             )
         except ProtocolError as exc:
-            await self._send_error(
+            self._send_error(
                 connection,
                 "version" if isinstance(exc, VersionMismatchError) else "protocol",
                 request_id if isinstance(request_id, (int, str))
@@ -646,7 +656,7 @@ class ServingDaemon:
 
         target = request.target or self._default_target
         if target not in self._targets:
-            await self._send_error(
+            self._send_error(
                 connection, "invalid", request.id, f"unknown target {target!r}"
             )
             return
@@ -654,7 +664,7 @@ class ServingDaemon:
         if domain_size is not None and request.end >= domain_size:
             # Validated per query at admission so one bad range can never
             # poison the coalesced batch it would have joined.
-            await self._send_error(
+            self._send_error(
                 connection, "invalid", request.id,
                 f"query touches item {request.end} but target {target!r} covers "
                 f"[0, {domain_size})",
@@ -664,30 +674,30 @@ class ServingDaemon:
         # Admission control: explicit overloaded responses, never unbounded
         # queues.  Checked before enqueueing so rejections are immediate.
         if self._draining:
-            await self._reject_overloaded(
+            self._reject_overloaded(
                 connection, request.id, "draining", "daemon is draining for shutdown"
             )
             return
         if connection.inflight >= self._config.max_inflight_per_client:
-            await self._reject_overloaded(
+            self._reject_overloaded(
                 connection, request.id, "inflight",
                 f"client in-flight cap reached ({self._config.max_inflight_per_client})",
             )
             return
         if self._m_pending.value >= self._config.max_pending:
-            await self._reject_overloaded(
+            self._reject_overloaded(
                 connection, request.id, "pending",
                 f"server pending queue is full ({self._config.max_pending})",
             )
             return
 
-        future: "asyncio.Future[QueryResponse]" = asyncio.get_running_loop().create_future()
-        self._enqueue(target, request, future)
+        # Counted before enqueueing: a max_batch flush answers (and uncounts)
+        # the query inside _enqueue.
         connection.inflight += 1
-        self._track(asyncio.ensure_future(self._respond(connection, future)))
+        self._enqueue(target, request, connection)
 
-    async def _reject_overloaded(self, connection: _Connection, request_id: Any,
-                                 reason: str, detail: str) -> None:
+    def _reject_overloaded(self, connection: _Connection, request_id: Any,
+                           reason: str, detail: str) -> None:
         """Count, log and answer one admission-control rejection.
 
         The overload log is rate-limited per reason — an overloaded daemon
@@ -702,25 +712,16 @@ class ServingDaemon:
                 pending=int(self._m_pending.value),
                 suppressed=self._overload_limiter.drain_suppressed(reason),
             )
-        await self._send(
+        self._send(
             connection, error_response(request_id, detail, status=STATUS_OVERLOADED).to_dict()
         )
-
-    async def _respond(self, connection: _Connection,
-                       future: "asyncio.Future[QueryResponse]") -> None:
-        try:
-            response = await future
-        finally:
-            connection.inflight -= 1
-        await self._send(connection, response.to_dict())
 
     # ------------------------------------------------------------------
     # The coalescer
     # ------------------------------------------------------------------
-    def _enqueue(self, target: str, request: QueryRequest,
-                 future: "asyncio.Future[QueryResponse]") -> None:
+    def _enqueue(self, target: str, request: QueryRequest, connection: _Connection) -> None:
         bucket = self._pending.setdefault(target, [])
-        bucket.append((request, future))
+        bucket.append((request, connection))
         self._m_pending.inc()
         if len(bucket) >= self._config.max_batch:
             handle = self._flush_handles.pop(target, None)
@@ -728,12 +729,19 @@ class ServingDaemon:
                 handle.cancel()
             self._flush(target)
         elif target not in self._flush_handles:
-            # First query of a window arms the micro-batching timer; every
-            # query arriving before it fires rides the same engine call.
+            # First query of a window opens it; every query arriving before
+            # it flushes rides the same engine call.  After a lone-query
+            # flush, waiting coalesced nothing, so flush on the next loop
+            # turn (queries read in this turn still join); otherwise arm the
+            # window_ms timer.
             loop = asyncio.get_running_loop()
-            self._flush_handles[target] = loop.call_later(
-                self._config.window_ms / 1000.0, self._flush_window, target
-            )
+            if target in self._next_turn:
+                handle = loop.call_soon(self._flush_window, target)
+            else:
+                handle = loop.call_later(
+                    self._config.window_ms / 1000.0, self._flush_window, target
+                )
+            self._flush_handles[target] = handle
 
     def _flush_window(self, target: str) -> None:
         self._flush_handles.pop(target, None)
@@ -743,14 +751,20 @@ class ServingDaemon:
         """Answer everything pending for ``target`` with one engine call.
 
         Synchronous by design: the engine call is one dense vectorised
-        evaluation, and resolving futures atomically keeps batch accounting
-        exact.  Any failure is converted into per-query error responses —
-        the daemon never crashes a connection over one bad batch.
+        evaluation, and answering a whole window in one step keeps batch
+        accounting exact.  Each connection's answers then leave in one
+        ``write``; a connection that has closed meanwhile is skipped.  Any
+        failure is converted into per-query error responses — the daemon
+        never crashes a connection over one bad batch.
         """
         pending = self._pending.pop(target, [])
         if not pending:
             return
         self._m_pending.dec(len(pending))
+        if len(pending) == 1:
+            self._next_turn.add(target)
+        else:
+            self._next_turn.discard(target)
         requests = [request for request, _ in pending]
         trace_flush = self._config.slow_query_ms is not None
         started = time.perf_counter()
@@ -776,9 +790,13 @@ class ServingDaemon:
                 queries=[request.to_dict() for request in requests[:8]],
                 spans=[record.to_dict() for record in flush_spans],
             )
-        for (_, future), response in zip(pending, responses):
-            if not future.done():
-                future.set_result(response)
+        lines: Dict[_Connection, List[str]] = {}
+        for (_, connection), response in zip(pending, responses):
+            lines.setdefault(connection, []).append(_encode_json(response.to_dict()))
+        for connection, encoded in lines.items():
+            connection.inflight -= len(encoded)
+            if not connection.writer.is_closing():
+                connection.writer.write(("\n".join(encoded) + "\n").encode("utf-8"))
 
     def _answer_pending(
         self, target: str, requests: List[QueryRequest]

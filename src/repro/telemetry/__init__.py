@@ -1,10 +1,11 @@
 """Dependency-free observability: metrics, spans, exposition, structured logs.
 
 The layer has one process-wide switch (:func:`enable` / :func:`disable`,
-off by default) guarding every *gated* instrument and span, so the serving
-hot path pays a single attribute check when observability is off.  See
-DESIGN.md's "Telemetry" section for the instrument taxonomy and the span
-marshalling protocol across process pools.
+off by default; :func:`hold` / :func:`release` for owners that keep it on
+for a while, such as a running daemon) guarding every *gated* instrument and
+span, so the serving hot path pays a single attribute check when
+observability is off.  See DESIGN.md's "Telemetry" section for the
+instrument taxonomy and the span marshalling protocol across process pools.
 """
 
 from .exposition import CONTENT_TYPE, MetricFamily, parse_prometheus_text, render_prometheus
@@ -25,7 +26,9 @@ from .metrics import (
     disable,
     enable,
     enabled,
+    hold,
     registry,
+    release,
 )
 from .tracing import NULL_SPAN, Span, adopt_spans, capture_spans, span, tracing_active
 
@@ -49,9 +52,11 @@ __all__ = [
     "enable",
     "enabled",
     "get_logger",
+    "hold",
     "log_event",
     "parse_prometheus_text",
     "registry",
+    "release",
     "render_prometheus",
     "span",
     "tracing_active",

@@ -37,7 +37,9 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
+    "hold",
     "registry",
+    "release",
 ]
 
 #: Shared latency bucket boundaries (milliseconds, upper bounds; +Inf is
@@ -64,12 +66,18 @@ LATENCY_BUCKETS_MS: Tuple[float, ...] = (
 
 
 class _TelemetryState:
-    """The one mutable flag every gated instrument checks before recording."""
+    """The one mutable flag every gated instrument checks before recording.
 
-    __slots__ = ("enabled",)
+    ``holds`` counts the live :func:`hold` calls and ``prior`` is the flag
+    the first of them found, which the last :func:`release` puts back.
+    """
+
+    __slots__ = ("enabled", "holds", "prior")
 
     def __init__(self) -> None:
         self.enabled = False
+        self.holds = 0
+        self.prior = False
 
 
 STATE = _TelemetryState()
@@ -88,6 +96,28 @@ def disable() -> None:
 def enabled() -> bool:
     """Whether gated instruments currently record."""
     return STATE.enabled
+
+
+def hold() -> None:
+    """Keep recording on until the matching :func:`release`.
+
+    Holds nest: several owners (say, two daemons in one process) may hold
+    the flag at once, and it returns to the state the first hold found only
+    when the last holder releases it.
+    """
+    if STATE.holds == 0:
+        STATE.prior = STATE.enabled
+    STATE.holds += 1
+    STATE.enabled = True
+
+
+def release() -> None:
+    """Drop one :func:`hold`; the last one restores the flag it found."""
+    if STATE.holds == 0:
+        raise RuntimeError("telemetry.release() without a matching hold()")
+    STATE.holds -= 1
+    if STATE.holds == 0:
+        STATE.enabled = STATE.prior
 
 
 def _validate_name(name: str) -> str:

@@ -216,6 +216,217 @@ class TestCoalescing:
         assert daemon.stats()["queries_answered"] == 1
 
 
+class TestAdaptiveWindow:
+    """A lone query flushes on the next loop turn once waiting stops paying."""
+
+    WINDOW_S = 0.2
+
+    def test_sequential_queries_skip_the_window_and_concurrent_ones_coalesce(
+        self, daemon_factory
+    ):
+        daemon, _ = daemon_factory(config=DaemonConfig(window_ms=self.WINDOW_S * 1000))
+
+        async def body(host, port):
+            loop = asyncio.get_running_loop()
+            waits = []
+            client = await LoadgenClient.connect(host, port)
+            try:
+                for item in range(10):
+                    started = loop.time()
+                    response = await client.query(QueryRequest.point(f"s{item}", item))
+                    waits.append(loop.time() - started)
+                    assert response.ok
+            finally:
+                await client.close()
+            sequential = daemon.stats()
+
+            async def one(item):
+                concurrent = await LoadgenClient.connect(host, port)
+                try:
+                    return await concurrent.query(QueryRequest.point(f"c{item}", item))
+                finally:
+                    await concurrent.close()
+
+            responses = await asyncio.gather(*(one(item) for item in range(40)))
+            assert all(response.ok for response in responses)
+            return waits, sequential, daemon.stats()
+
+        waits, sequential, final = run(_with_daemon(daemon, body))
+        # The target's first window arms the timer; every later lone query
+        # follows a singleton flush and leaves on the next loop turn.
+        assert waits[0] >= self.WINDOW_S * 0.9
+        assert max(waits[1:]) < self.WINDOW_S / 4, waits
+        assert sequential["engine_batches"] == 10
+        assert sequential["largest_batch"] == 1
+        # Forty clients at once still share flushes: the first flush of two
+        # or more puts the target back on the window_ms timer.
+        assert final["queries_answered"] - sequential["queries_answered"] == 40
+        assert final["engine_batches"] - sequential["engine_batches"] < 40
+        assert final["largest_batch"] > 1
+
+    def test_shutdown_answers_a_query_parked_in_a_next_turn_window(
+        self, daemon_factory, monkeypatch
+    ):
+        daemon, _ = daemon_factory(config=DaemonConfig(window_ms=50.0))
+        enqueue = daemon._enqueue
+
+        async def body(host, port):
+            parked = asyncio.get_running_loop().create_future()
+
+            def wake_the_test_then_enqueue(target, request, connection):
+                # Waking the test before the window is scheduled puts its
+                # stop() ahead of the next-turn flush in the loop's queue.
+                if request.id == "parked":
+                    parked.set_result(None)
+                enqueue(target, request, connection)
+
+            monkeypatch.setattr(daemon, "_enqueue", wake_the_test_then_enqueue)
+            client = await LoadgenClient.connect(host, port)
+            try:
+                # A singleton flush first, so the next window is a next-turn one.
+                assert (await client.query(QueryRequest.point("first", 1))).ok
+                await client.send(QueryRequest.point("parked", 2).to_dict())
+                await parked  # awaited directly: a wait_for would add loop turns
+                window = daemon._flush_handles["default"]
+                await daemon.stop()
+                reply = await asyncio.wait_for(client.recv(), timeout=5.0)
+            finally:
+                await client.close()
+            return window, reply
+
+        window, reply = run(_with_daemon(daemon, body))
+        assert not isinstance(window, asyncio.TimerHandle)
+        assert window.cancelled()  # the drain answered it, not the callback
+        assert reply["status"] == "ok" and reply["id"] == "parked"
+        assert daemon.stats()["drained_queries"] == 1
+        assert daemon.stats()["engine_batches"] == 2
+
+
+class TestWritePath:
+    """Answers leave from the flush: no per-query task, bounded buffers."""
+
+    def test_parked_queries_add_no_tasks(self, daemon_factory):
+        from repro.telemetry import parse_prometheus_text
+
+        daemon, _ = daemon_factory(config=DaemonConfig(window_ms=10_000.0))
+
+        async def body(host, port):
+            client = await LoadgenClient.connect(host, port)
+            try:
+                await client.round_trip({"op": "ping"})  # its handler is running
+                before = len(asyncio.all_tasks())
+                for item in range(32):
+                    await client.send(QueryRequest.point(f"p{item}", item).to_dict())
+                # Lines are dispatched in order, so the scrape's reply comes
+                # after all 32 queries were admitted into the open window.
+                scrape = await client.round_trip({"op": "metrics"})
+                during = len(asyncio.all_tasks())
+                await daemon.stop()
+                replies = [await asyncio.wait_for(client.recv(), 5.0) for _ in range(32)]
+            finally:
+                await client.close()
+            families = parse_prometheus_text(scrape["body"])
+            pending = families["repro_daemon_pending_queries"].samples[0][2]
+            return before, during, pending, replies
+
+        before, during, pending, replies = run(_with_daemon(daemon, body))
+        assert pending == 32
+        assert during == before
+        assert sorted(reply["id"] for reply in replies) == sorted(f"p{i}" for i in range(32))
+        assert {reply["status"] for reply in replies} == {"ok"}
+        assert daemon.stats()["engine_batches"] == 1
+
+    def test_a_client_that_never_reads_is_throttled_and_others_are_served(
+        self, daemon_factory, model, spec
+    ):
+        import socket
+
+        daemon, store = daemon_factory()
+        sent = 5000
+        # Backpressure starts at the transport's 64 KiB high-water mark; on
+        # top of it sit at most one line and one flush of the in-flight cap.
+        bound = 64 * 1024 + 2 * 1024 * daemon.config.max_inflight_per_client
+
+        async def body(host, port):
+            loop = asyncio.get_running_loop()
+            # Small socket buffers on both ends, so the kernel cannot absorb
+            # the unread answers and the daemon's own buffer has to hold them.
+            raw = socket.socket()
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            raw.setblocking(False)
+            await loop.sock_connect(raw, (host, port))
+            _, silent = await asyncio.open_connection(sock=raw)
+            try:
+                while not daemon._connections:
+                    await asyncio.sleep(0.001)
+                (connection,) = daemon._connections
+                connection.writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                silent.write(b"".join(
+                    (QueryRequest.point(f"x{i}", i % DOMAIN).to_json() + "\n").encode()
+                    for i in range(sent)
+                ))
+                buffered = []
+
+                def sample():
+                    buffered.append(connection.writer.transport.get_write_buffer_size())
+
+                await asyncio.sleep(0.2)
+                batch = generate_query_mix(DOMAIN, 100, seed=8)
+                client = await LoadgenClient.connect(host, port)
+                try:
+                    got = []
+                    for request in requests_from_batch(batch, prefix="b"):
+                        got.append(await client.query(request))
+                        sample()
+                finally:
+                    await client.close()
+                await asyncio.sleep(0.2)
+                sample()
+                read = daemon.stats()["requests"]
+            finally:
+                silent.transport.abort()
+            return batch, got, buffered, read
+
+        batch, got, buffered, read = run(_with_daemon(daemon, body))
+        assert max(buffered) <= bound, (max(buffered), bound)
+        assert buffered[-1] > 0  # the silent client's answers are waiting
+        assert read < sent + len(got), "the daemon kept reading a client that never reads"
+        synopsis = store.get_or_build(model, spec)
+        engine = BatchQueryEngine.from_model(synopsis, model, spec.metric)
+        assert all(response.ok for response in got)
+        assert np.array_equal([r.answer for r in got], engine.answer(batch))
+        assert np.array_equal([r.expected_error for r in got], engine.attribute_errors(batch))
+        assert daemon.stats()["internal_errors"] == 0
+
+    def test_an_answer_for_a_departed_client_is_dropped_quietly(
+        self, daemon_factory, caplog
+    ):
+        daemon, _ = daemon_factory(config=DaemonConfig(window_ms=100.0))
+
+        async def body(host, port):
+            departed = await LoadgenClient.connect(host, port)
+            await departed.send(QueryRequest.point("gone", 1).to_dict())
+            await departed.close()
+            await asyncio.sleep(0.3)  # the window flushes after the close
+            client = await LoadgenClient.connect(host, port)
+            try:
+                return await client.query(QueryRequest.point("here", 2))
+            finally:
+                await client.close()
+
+        with caplog.at_level("WARNING"):
+            response = run(_with_daemon(daemon, body))
+        assert response.ok
+        stats = daemon.stats()
+        assert stats["queries_answered"] == 2
+        assert stats["engine_batches"] == 2
+        assert stats["internal_errors"] == 0
+        assert not [record for record in caplog.records if record.levelname in ("WARNING", "ERROR")
+                    and record.name == "asyncio"]
+
+
 class TestAdmissionControl:
     def test_pending_cap_returns_overloaded_not_a_hang(self, daemon_factory):
         daemon, _ = daemon_factory(
@@ -897,6 +1108,38 @@ class TestTelemetryState:
         with pytest.raises(SynopsisError, match="warm-up failed"):
             run(daemon.start(port=0))
         assert telemetry.enabled() is False
+
+    def test_stopping_one_daemon_leaves_the_flag_on_for_another(self, daemon_factory):
+        from repro import telemetry
+
+        first, _ = daemon_factory()
+        second, _ = daemon_factory()
+        telemetry.disable()
+
+        async def body():
+            await first.start(port=0)
+            await second.start(port=0)
+            try:
+                await first.stop()
+                still_on = telemetry.enabled()
+                client = await LoadgenClient.connect(*second.address)
+                try:
+                    response = await client.query(QueryRequest.point("q", 1))
+                finally:
+                    await client.close()
+            finally:
+                await first.stop()
+                await second.stop()
+            return still_on, response
+
+        try:
+            still_on, response = run(body())
+        finally:
+            after = telemetry.enabled()
+            telemetry.disable()
+        assert still_on, "the running daemon lost its telemetry"
+        assert response.ok
+        assert after is False
 
 
 class TestVectorData:

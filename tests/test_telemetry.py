@@ -178,6 +178,24 @@ class TestInstruments:
             registry.counter("t_idem_total", labelnames=("op",))
 
 
+class TestHolds:
+    @pytest.mark.parametrize("initially", [False, True])
+    def test_the_last_release_restores_the_flag_the_first_hold_found(self, initially):
+        (telemetry.enable if initially else telemetry.disable)()
+        telemetry.hold()
+        telemetry.hold()
+        assert telemetry.enabled()
+        telemetry.release()
+        assert telemetry.enabled(), "one holder is left"
+        telemetry.release()
+        assert telemetry.enabled() is initially
+
+    def test_release_without_a_hold_raises(self):
+        with pytest.raises(RuntimeError, match="without a matching hold"):
+            telemetry.release()
+        assert telemetry.enabled() is False
+
+
 # ----------------------------------------------------------------------
 # Spans
 # ----------------------------------------------------------------------
